@@ -1,8 +1,9 @@
 //! Versioned JSONL snapshot codec.
 //!
 //! Serializes the plain-data snapshot types exported by `contig-buddy`,
-//! `contig-mm`, `contig-virt`, and `contig-tlb` to the [`Json`] value model
-//! and back, and wraps them in a two-line JSONL file format:
+//! `contig-mm`, `contig-virt`, and `contig-tlb` straight into a
+//! [`Writer`] (no intermediate tree), decodes them back from the [`Json`]
+//! value model, and wraps them in a two-line JSONL file format:
 //!
 //! ```text
 //! {"format":"contig-snapshot","version":1,"digest":<fnv1a64>}
@@ -16,7 +17,9 @@
 //!
 //! Every encoder emits object members in a fixed order; combined with the
 //! integer-only number model this makes the encoding canonical, which is what
-//! lets [`crate::digest`] hash the serialized form directly.
+//! lets [`crate::digest`] stream the same bytes into FNV-1a without ever
+//! building the line. Decoders look members up by name and treat members
+//! added by later versions as optional, so older files keep decoding.
 
 use contig_buddy::{
     MachineSnapshot, PcpCounters, PcpSnapshot, ZoneConfig, ZoneCounters, ZoneSnapshot,
@@ -29,11 +32,11 @@ use contig_mm::{
 use contig_buddy::PoisonCounters;
 use contig_mm::PoisonStats;
 use contig_tlb::{CacheSnapshot, TlbSnapshot};
-use contig_types::{FailMode, FailPolicy, Pfn, PoisonMode, PoisonPolicy};
+use contig_types::{FailMode, FailPolicy, Fnv1a64, Pfn, PoisonMode, PoisonPolicy};
 use contig_virt::VmSnapshot;
 
 use crate::digest::fnv1a64;
-use crate::json::{parse, Json};
+use crate::json::{parse, to_line, Json, Sink, Writer};
 
 /// Current snapshot file format version. Version 2 added the optional
 /// per-zone `pcp` member (per-CPU frame caches); version 3 added the
@@ -52,21 +55,6 @@ pub const SNAPSHOT_VERSION: i128 = 6;
 pub const SNAPSHOT_MIN_VERSION: i128 = 1;
 /// `format` tag of snapshot files.
 pub const SNAPSHOT_FORMAT: &str = "contig-snapshot";
-
-fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn pair(a: impl Into<i128>, b: impl Into<i128>) -> Json {
-    Json::Arr(vec![Json::num(a), Json::num(b)])
-}
-
-fn opt_num(v: Option<impl Into<i128>>) -> Json {
-    match v {
-        Some(n) => Json::num(n),
-        None => Json::Null,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Decode helpers
@@ -109,23 +97,27 @@ fn decode_pair_u64(v: &Json, what: &str) -> DecodeResult<(u64, u64)> {
 // contig-types: fail injection
 // ---------------------------------------------------------------------------
 
-fn fail_mode_to_json(mode: FailMode) -> Json {
-    match mode {
-        FailMode::Never => obj(vec![("kind", Json::Str("never".into()))]),
-        FailMode::Nth { n } => obj(vec![("kind", Json::Str("nth".into())), ("n", Json::num(n))]),
-        FailMode::EveryNth { n } => {
-            obj(vec![("kind", Json::Str("every_nth".into())), ("n", Json::num(n))])
+fn write_fail_mode<S: Sink>(w: &mut Writer<S>, mode: FailMode) {
+    w.obj(|w| match mode {
+        FailMode::Never => w.key("kind").str("never"),
+        FailMode::Nth { n } => {
+            w.key("kind").str("nth");
+            w.key("n").num(n);
         }
-        FailMode::MinOrder { min_order } => obj(vec![
-            ("kind", Json::Str("min_order".into())),
-            ("min_order", Json::num(min_order)),
-        ]),
-        FailMode::Probability { rate_ppm, seed } => obj(vec![
-            ("kind", Json::Str("probability".into())),
-            ("rate_ppm", Json::num(rate_ppm)),
-            ("seed", Json::num(seed)),
-        ]),
-    }
+        FailMode::EveryNth { n } => {
+            w.key("kind").str("every_nth");
+            w.key("n").num(n);
+        }
+        FailMode::MinOrder { min_order } => {
+            w.key("kind").str("min_order");
+            w.key("min_order").num(min_order);
+        }
+        FailMode::Probability { rate_ppm, seed } => {
+            w.key("kind").str("probability");
+            w.key("rate_ppm").num(rate_ppm);
+            w.key("seed").num(seed);
+        }
+    });
 }
 
 fn fail_mode_from_json(v: &Json) -> DecodeResult<FailMode> {
@@ -143,13 +135,13 @@ fn fail_mode_from_json(v: &Json) -> DecodeResult<FailMode> {
     }
 }
 
-fn fail_policy_to_json(p: &FailPolicy) -> Json {
-    obj(vec![
-        ("mode", fail_mode_to_json(p.mode())),
-        ("attempts", Json::num(p.attempts())),
-        ("injected", Json::num(p.injected())),
-        ("rng_state", Json::num(p.rng_state())),
-    ])
+fn write_fail_policy<S: Sink>(w: &mut Writer<S>, p: &FailPolicy) {
+    w.obj(|w| {
+        write_fail_mode(w.key("mode"), p.mode());
+        w.key("attempts").num(p.attempts());
+        w.key("injected").num(p.injected());
+        w.key("rng_state").num(p.rng_state());
+    });
 }
 
 fn fail_policy_from_json(v: &Json) -> DecodeResult<FailPolicy> {
@@ -161,26 +153,28 @@ fn fail_policy_from_json(v: &Json) -> DecodeResult<FailPolicy> {
     ))
 }
 
-fn poison_mode_to_json(mode: PoisonMode) -> Json {
-    match mode {
-        PoisonMode::Never => obj(vec![("kind", Json::Str("never".into()))]),
+fn write_poison_mode<S: Sink>(w: &mut Writer<S>, mode: PoisonMode) {
+    w.obj(|w| match mode {
+        PoisonMode::Never => w.key("kind").str("never"),
         PoisonMode::Nth { n } => {
-            obj(vec![("kind", Json::Str("nth".into())), ("n", Json::num(n))])
+            w.key("kind").str("nth");
+            w.key("n").num(n);
         }
         PoisonMode::EveryNth { n } => {
-            obj(vec![("kind", Json::Str("every_nth".into())), ("n", Json::num(n))])
+            w.key("kind").str("every_nth");
+            w.key("n").num(n);
         }
-        PoisonMode::Address { pfn, n } => obj(vec![
-            ("kind", Json::Str("address".into())),
-            ("pfn", Json::num(pfn.raw())),
-            ("n", Json::num(n)),
-        ]),
-        PoisonMode::Probability { rate_ppm, seed } => obj(vec![
-            ("kind", Json::Str("probability".into())),
-            ("rate_ppm", Json::num(rate_ppm)),
-            ("seed", Json::num(seed)),
-        ]),
-    }
+        PoisonMode::Address { pfn, n } => {
+            w.key("kind").str("address");
+            w.key("pfn").num(pfn.raw());
+            w.key("n").num(n);
+        }
+        PoisonMode::Probability { rate_ppm, seed } => {
+            w.key("kind").str("probability");
+            w.key("rate_ppm").num(rate_ppm);
+            w.key("seed").num(seed);
+        }
+    });
 }
 
 fn poison_mode_from_json(v: &Json) -> DecodeResult<PoisonMode> {
@@ -201,13 +195,13 @@ fn poison_mode_from_json(v: &Json) -> DecodeResult<PoisonMode> {
     }
 }
 
-fn poison_policy_to_json(p: &PoisonPolicy) -> Json {
-    obj(vec![
-        ("mode", poison_mode_to_json(p.mode())),
-        ("checks", Json::num(p.checks())),
-        ("events", Json::num(p.events())),
-        ("rng_state", Json::num(p.rng_state())),
-    ])
+fn write_poison_policy<S: Sink>(w: &mut Writer<S>, p: &PoisonPolicy) {
+    w.obj(|w| {
+        write_poison_mode(w.key("mode"), p.mode());
+        w.key("checks").num(p.checks());
+        w.key("events").num(p.events());
+        w.key("rng_state").num(p.rng_state());
+    });
 }
 
 fn poison_policy_from_json(v: &Json) -> DecodeResult<PoisonPolicy> {
@@ -226,15 +220,8 @@ fn poison_policy_from_json(v: &Json) -> DecodeResult<PoisonPolicy> {
 /// Field order of the [`PoisonCounters`] array encoding.
 const POISON_COUNTER_FIELDS: usize = 5;
 
-fn poison_counters_to_json(c: &PoisonCounters) -> Json {
-    let counters = [
-        c.poisoned,
-        c.quarantined_free,
-        c.quarantined_pcp,
-        c.deferred,
-        c.quarantined_on_free,
-    ];
-    Json::Arr(counters.iter().map(|&c| Json::num(c)).collect())
+fn write_poison_counters<S: Sink>(w: &mut Writer<S>, c: &PoisonCounters) {
+    w.nums([c.poisoned, c.quarantined_free, c.quarantined_pcp, c.deferred, c.quarantined_on_free]);
 }
 
 fn poison_counters_from_json(v: &Json) -> DecodeResult<PoisonCounters> {
@@ -252,93 +239,55 @@ fn poison_counters_from_json(v: &Json) -> DecodeResult<PoisonCounters> {
     })
 }
 
-fn zone_to_json(z: &ZoneSnapshot) -> Json {
-    obj(vec![
-        (
-            "config",
-            obj(vec![
-                ("base", Json::num(z.config.base.raw())),
-                ("frames", Json::num(z.config.frames)),
-                ("top_order", Json::num(z.config.top_order)),
-                ("sorted_top_list", Json::Bool(z.config.sorted_top_list)),
-            ]),
-        ),
-        (
-            "free_lists",
-            Json::Arr(
-                z.free_lists
-                    .iter()
-                    .map(|list| Json::Arr(list.iter().map(|&f| Json::num(f)).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "allocated",
-            Json::Arr(z.allocated.iter().map(|&(pfn, order)| pair(pfn, order)).collect()),
-        ),
-        (
-            "counters",
-            Json::Arr(
-                [
-                    z.counters.allocs,
-                    z.counters.targeted_allocs,
-                    z.counters.targeted_misses,
-                    z.counters.frees,
-                    z.counters.splits,
-                    z.counters.coalesces,
-                ]
-                .iter()
-                .map(|&c| Json::num(c))
-                .collect(),
-            ),
-        ),
-        ("fail", fail_policy_to_json(&z.fail)),
-        ("contig_rover", opt_num(z.contig_rover)),
-        ("contig_updates", Json::num(z.contig_updates)),
-        (
-            "pcp",
-            match &z.pcp {
-                Some(p) => pcp_to_json(p),
-                None => Json::Null,
-            },
-        ),
-        ("badframes", Json::Arr(z.badframes.iter().map(|&f| Json::num(f)).collect())),
-        ("poison", poison_counters_to_json(&z.poison)),
-    ])
+fn write_zone<S: Sink>(w: &mut Writer<S>, z: &ZoneSnapshot) {
+    w.obj(|w| {
+        w.key("config").obj(|w| {
+            w.key("base").num(z.config.base.raw());
+            w.key("frames").num(z.config.frames);
+            w.key("top_order").num(z.config.top_order);
+            w.key("sorted_top_list").bool(z.config.sorted_top_list);
+        });
+        w.key("free_lists")
+            .arr(|w| z.free_lists.iter().for_each(|list| w.nums(list.iter().copied())));
+        w.key("allocated").arr(|w| z.allocated.iter().for_each(|&(pfn, order)| w.pair(pfn, order)));
+        let c = &z.counters;
+        w.key("counters").nums([
+            c.allocs,
+            c.targeted_allocs,
+            c.targeted_misses,
+            c.frees,
+            c.splits,
+            c.coalesces,
+        ]);
+        write_fail_policy(w.key("fail"), &z.fail);
+        w.key("contig_rover").opt_num(z.contig_rover);
+        w.key("contig_updates").num(z.contig_updates);
+        match &z.pcp {
+            Some(p) => write_pcp(w.key("pcp"), p),
+            None => w.key("pcp").null(),
+        }
+        w.key("badframes").nums(z.badframes.iter().copied());
+        write_poison_counters(w.key("poison"), &z.poison);
+    });
 }
 
-fn pcp_to_json(p: &PcpSnapshot) -> Json {
-    obj(vec![
-        ("cpus", Json::num(p.cpus)),
-        ("batch", Json::num(p.batch)),
-        ("high", Json::num(p.high)),
-        ("current_cpu", Json::num(p.current_cpu)),
-        (
-            "lists",
-            Json::Arr(
-                p.lists
-                    .iter()
-                    .map(|list| Json::Arr(list.iter().map(|&f| Json::num(f)).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "counters",
-            Json::Arr(
-                [
-                    p.counters.hits,
-                    p.counters.refills,
-                    p.counters.refilled_frames,
-                    p.counters.drains,
-                    p.counters.drained_frames,
-                    p.counters.targeted_evictions,
-                ]
-                .iter()
-                .map(|&c| Json::num(c))
-                .collect(),
-            ),
-        ),
-    ])
+fn write_pcp<S: Sink>(w: &mut Writer<S>, p: &PcpSnapshot) {
+    w.obj(|w| {
+        w.key("cpus").num(p.cpus);
+        w.key("batch").num(p.batch);
+        w.key("high").num(p.high);
+        w.key("current_cpu").num(p.current_cpu);
+        w.key("lists").arr(|w| p.lists.iter().for_each(|list| w.nums(list.iter().copied())));
+        let c = &p.counters;
+        w.key("counters").nums([
+            c.hits,
+            c.refills,
+            c.refilled_frames,
+            c.drains,
+            c.drained_frames,
+            c.targeted_evictions,
+        ]);
+    });
 }
 
 fn pcp_from_json(v: &Json) -> DecodeResult<PcpSnapshot> {
@@ -440,22 +389,14 @@ fn zone_from_json(v: &Json) -> DecodeResult<ZoneSnapshot> {
     })
 }
 
-fn machine_to_json(m: &MachineSnapshot) -> Json {
-    obj(vec![
-        ("zones", Json::Arr(m.zones.iter().map(zone_to_json).collect())),
-        (
-            "reservations",
-            Json::Arr(
-                m.reservations
-                    .iter()
-                    .map(|&(owner, start, len)| {
-                        Json::Arr(vec![Json::num(owner), Json::num(start), Json::num(len)])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("reservation_rover", Json::num(m.reservation_rover)),
-    ])
+fn write_machine<S: Sink>(w: &mut Writer<S>, m: &MachineSnapshot) {
+    w.obj(|w| {
+        w.key("zones").arr(|w| m.zones.iter().for_each(|z| write_zone(w, z)));
+        w.key("reservations").arr(|w| {
+            m.reservations.iter().for_each(|&(owner, start, len)| w.nums([owner, start, len]))
+        });
+        w.key("reservation_rover").num(m.reservation_rover);
+    });
 }
 
 fn machine_from_json(v: &Json) -> DecodeResult<MachineSnapshot> {
@@ -480,28 +421,17 @@ fn machine_from_json(v: &Json) -> DecodeResult<MachineSnapshot> {
 // contig-mm: processes, page cache, system
 // ---------------------------------------------------------------------------
 
-fn vma_to_json(vma: &VmaSnapshot) -> Json {
-    obj(vec![
-        ("start", Json::num(vma.start)),
-        ("len", Json::num(vma.len)),
-        (
-            "file",
-            match vma.file {
-                None => Json::Null,
-                Some((file, start_page)) => pair(file, start_page),
-            },
-        ),
-        (
-            "offsets",
-            Json::Arr(
-                vma.offsets
-                    .iter()
-                    .map(|&(va, off)| Json::Arr(vec![Json::num(va), Json::Num(off)]))
-                    .collect(),
-            ),
-        ),
-        ("replacement_claimed", Json::Bool(vma.replacement_claimed)),
-    ])
+fn write_vma<S: Sink>(w: &mut Writer<S>, vma: &VmaSnapshot) {
+    w.obj(|w| {
+        w.key("start").num(vma.start);
+        w.key("len").num(vma.len);
+        match vma.file {
+            None => w.key("file").null(),
+            Some((file, start_page)) => w.key("file").pair(file, start_page),
+        }
+        w.key("offsets").arr(|w| vma.offsets.iter().for_each(|&(va, off)| w.pair(va, off)));
+        w.key("replacement_claimed").bool(vma.replacement_claimed);
+    });
 }
 
 fn vma_from_json(v: &Json) -> DecodeResult<VmaSnapshot> {
@@ -529,12 +459,12 @@ fn vma_from_json(v: &Json) -> DecodeResult<VmaSnapshot> {
     })
 }
 
-fn stats_to_json(s: &FaultStatsSnapshot) -> Json {
-    obj(vec![
-        ("counters", Json::Arr(s.counters.iter().map(|&c| Json::num(c)).collect())),
-        ("latencies_ns", Json::Arr(s.latencies_ns.iter().map(|&l| Json::num(l)).collect())),
-        ("record_latencies", Json::Bool(s.record_latencies)),
-    ])
+fn write_stats<S: Sink>(w: &mut Writer<S>, s: &FaultStatsSnapshot) {
+    w.obj(|w| {
+        w.key("counters").nums(s.counters);
+        w.key("latencies_ns").nums(s.latencies_ns.iter().copied());
+        w.key("record_latencies").bool(s.record_latencies);
+    });
 }
 
 fn stats_from_json(v: &Json) -> DecodeResult<FaultStatsSnapshot> {
@@ -556,30 +486,24 @@ fn stats_from_json(v: &Json) -> DecodeResult<FaultStatsSnapshot> {
     })
 }
 
-fn process_to_json(p: &ProcessSnapshot) -> Json {
-    obj(vec![
-        ("pid", Json::num(p.pid)),
-        ("pt_levels", Json::num(p.pt_levels)),
-        ("vmas", Json::Arr(p.vmas.iter().map(vma_to_json).collect())),
-        (
-            "mappings",
-            Json::Arr(
-                p.mappings
-                    .iter()
-                    .map(|&(va, pfn, bits, huge)| {
-                        Json::Arr(vec![
-                            Json::num(va),
-                            Json::num(pfn),
-                            Json::num(bits),
-                            Json::Bool(huge),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("stats", stats_to_json(&p.stats)),
-        ("home", opt_num(p.home)),
-    ])
+fn write_process<S: Sink>(w: &mut Writer<S>, p: &ProcessSnapshot) {
+    w.obj(|w| {
+        w.key("pid").num(p.pid);
+        w.key("pt_levels").num(p.pt_levels);
+        w.key("vmas").arr(|w| p.vmas.iter().for_each(|vma| write_vma(w, vma)));
+        w.key("mappings").arr(|w| {
+            for &(va, pfn, bits, huge) in &p.mappings {
+                w.arr(|w| {
+                    w.num(va);
+                    w.num(pfn);
+                    w.num(bits);
+                    w.bool(huge);
+                });
+            }
+        });
+        write_stats(w.key("stats"), &p.stats);
+        w.key("home").opt_num(p.home);
+    });
 }
 
 fn process_from_json(v: &Json) -> DecodeResult<ProcessSnapshot> {
@@ -609,45 +533,22 @@ fn process_from_json(v: &Json) -> DecodeResult<ProcessSnapshot> {
     })
 }
 
-fn page_cache_to_json(pc: &PageCacheSnapshot) -> Json {
-    obj(vec![
-        (
-            "mode",
-            Json::Str(
-                match pc.mode {
-                    CacheAllocMode::Default => "default",
-                    CacheAllocMode::CaContiguous => "ca_contiguous",
-                }
-                .into(),
-            ),
-        ),
-        ("readahead_allocs", Json::num(pc.readahead_allocs)),
-        (
-            "files",
-            Json::Arr(
-                pc.files
-                    .iter()
-                    .map(|f| {
-                        obj(vec![
-                            (
-                                "pages",
-                                Json::Arr(
-                                    f.pages.iter().map(|&(idx, pfn)| pair(idx, pfn)).collect(),
-                                ),
-                            ),
-                            (
-                                "offset",
-                                match f.offset {
-                                    None => Json::Null,
-                                    Some(off) => Json::Num(off),
-                                },
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn write_page_cache<S: Sink>(w: &mut Writer<S>, pc: &PageCacheSnapshot) {
+    w.obj(|w| {
+        w.key("mode").str(match pc.mode {
+            CacheAllocMode::Default => "default",
+            CacheAllocMode::CaContiguous => "ca_contiguous",
+        });
+        w.key("readahead_allocs").num(pc.readahead_allocs);
+        w.key("files").arr(|w| {
+            for f in &pc.files {
+                w.obj(|w| {
+                    w.key("pages").arr(|w| f.pages.iter().for_each(|&(idx, pfn)| w.pair(idx, pfn)));
+                    w.key("offset").opt_num(f.offset);
+                });
+            }
+        });
+    });
 }
 
 fn page_cache_from_json(v: &Json) -> DecodeResult<PageCacheSnapshot> {
@@ -676,18 +577,18 @@ fn page_cache_from_json(v: &Json) -> DecodeResult<PageCacheSnapshot> {
     })
 }
 
-fn recovery_config_to_json(r: &RecoveryConfig) -> Json {
-    obj(vec![
-        ("reclaim", Json::Bool(r.reclaim)),
-        ("compaction", Json::Bool(r.compaction)),
-        ("max_retries", Json::num(r.max_retries)),
-        ("reclaim_batch", Json::num(r.reclaim_batch)),
-        ("compact_budget", Json::num(r.compact_budget)),
-        ("backoff_base_ns", Json::num(r.backoff_base_ns)),
-        ("backoff_cap_ns", Json::num(r.backoff_cap_ns)),
-        ("backoff_seed", Json::num(r.backoff_seed)),
-        ("max_total_attempts", Json::num(r.max_total_attempts)),
-    ])
+fn write_recovery_config<S: Sink>(w: &mut Writer<S>, r: &RecoveryConfig) {
+    w.obj(|w| {
+        w.key("reclaim").bool(r.reclaim);
+        w.key("compaction").bool(r.compaction);
+        w.key("max_retries").num(r.max_retries);
+        w.key("reclaim_batch").num(r.reclaim_batch);
+        w.key("compact_budget").num(r.compact_budget);
+        w.key("backoff_base_ns").num(r.backoff_base_ns);
+        w.key("backoff_cap_ns").num(r.backoff_cap_ns);
+        w.key("backoff_seed").num(r.backoff_seed);
+        w.key("max_total_attempts").num(r.max_total_attempts);
+    });
 }
 
 fn recovery_config_from_json(v: &Json) -> DecodeResult<RecoveryConfig> {
@@ -707,8 +608,8 @@ fn recovery_config_from_json(v: &Json) -> DecodeResult<RecoveryConfig> {
 /// Field order of the [`PoisonStats`] counter array encoding.
 const POISON_STAT_FIELDS: usize = 8;
 
-fn poison_stats_to_json(s: &PoisonStats) -> Json {
-    let counters = [
+fn write_poison_stats<S: Sink>(w: &mut Writer<S>, s: &PoisonStats) {
+    w.nums([
         s.strikes,
         s.healed,
         s.healed_frames,
@@ -717,8 +618,7 @@ fn poison_stats_to_json(s: &PoisonStats) -> Json {
         s.cache_dropped,
         s.soft_offline_ok,
         s.soft_offline_failed,
-    ];
-    Json::Arr(counters.iter().map(|&c| Json::num(c)).collect())
+    ]);
 }
 
 fn poison_stats_from_json(v: &Json) -> DecodeResult<PoisonStats> {
@@ -742,9 +642,8 @@ fn poison_stats_from_json(v: &Json) -> DecodeResult<PoisonStats> {
 /// Field order of the [`NumaStats`] counter array encoding.
 const NUMA_STAT_FIELDS: usize = 3;
 
-fn numa_stats_to_json(s: &NumaStats) -> Json {
-    let counters = [s.local_allocs, s.fallback_allocs, s.migrations];
-    Json::Arr(counters.iter().map(|&c| Json::num(c)).collect())
+fn write_numa_stats<S: Sink>(w: &mut Writer<S>, s: &NumaStats) {
+    w.nums([s.local_allocs, s.fallback_allocs, s.migrations]);
 }
 
 fn numa_stats_from_json(v: &Json) -> DecodeResult<NumaStats> {
@@ -761,8 +660,8 @@ fn numa_stats_from_json(v: &Json) -> DecodeResult<NumaStats> {
 /// totals.
 const DAEMON_STAT_FIELDS: usize = 13;
 
-fn daemon_stats_to_json(s: &DaemonStats) -> Json {
-    let counters = [
+fn write_daemon_stats<S: Sink>(w: &mut Writer<S>, s: &DaemonStats) {
+    w.nums([
         s.ticks,
         s.epochs,
         s.compact_moves,
@@ -776,8 +675,7 @@ fn daemon_stats_to_json(s: &DaemonStats) -> Json {
         s.policy_updates,
         s.compact_frames,
         s.repair_frames,
-    ];
-    Json::Arr(counters.iter().map(|&c| Json::num(c)).collect())
+    ]);
 }
 
 fn daemon_stats_from_json(v: &Json) -> DecodeResult<DaemonStats> {
@@ -803,22 +701,22 @@ fn daemon_stats_from_json(v: &Json) -> DecodeResult<DaemonStats> {
     })
 }
 
-fn daemon_config_to_json(c: &DaemonConfig) -> Json {
-    obj(vec![
-        ("scan_interval", Json::num(c.scan_interval)),
-        ("epoch_budget", Json::num(c.epoch_budget)),
-        ("aggressiveness", Json::num(c.aggressiveness)),
-        ("thp_threshold_pages", Json::num(c.thp_threshold_pages)),
-        ("repair_poison", Json::Bool(c.repair_poison)),
-        ("shed_promote_pct", Json::num(c.shed_promote_pct)),
-        ("shed_compact_pct", Json::num(c.shed_compact_pct)),
-        ("yield_pct", Json::num(c.yield_pct)),
-        ("poison_storm_frames", Json::num(c.poison_storm_frames)),
-        ("backoff_base_ns", Json::num(c.backoff_base_ns)),
-        ("backoff_cap_ns", Json::num(c.backoff_cap_ns)),
-        ("backoff_seed", Json::num(c.backoff_seed)),
-        ("watchdog_vetoes", Json::num(c.watchdog_vetoes)),
-    ])
+fn write_daemon_config<S: Sink>(w: &mut Writer<S>, c: &DaemonConfig) {
+    w.obj(|w| {
+        w.key("scan_interval").num(c.scan_interval);
+        w.key("epoch_budget").num(c.epoch_budget);
+        w.key("aggressiveness").num(c.aggressiveness);
+        w.key("thp_threshold_pages").num(c.thp_threshold_pages);
+        w.key("repair_poison").bool(c.repair_poison);
+        w.key("shed_promote_pct").num(c.shed_promote_pct);
+        w.key("shed_compact_pct").num(c.shed_compact_pct);
+        w.key("yield_pct").num(c.yield_pct);
+        w.key("poison_storm_frames").num(c.poison_storm_frames);
+        w.key("backoff_base_ns").num(c.backoff_base_ns);
+        w.key("backoff_cap_ns").num(c.backoff_cap_ns);
+        w.key("backoff_seed").num(c.backoff_seed);
+        w.key("watchdog_vetoes").num(c.watchdog_vetoes);
+    });
 }
 
 fn daemon_config_from_json(v: &Json) -> DecodeResult<DaemonConfig> {
@@ -843,28 +741,25 @@ fn daemon_config_from_json(v: &Json) -> DecodeResult<DaemonConfig> {
 /// Encodes the full mid-epoch daemon state (codec v6): policy, scan
 /// cursors, budget, phase, remembered promotion candidates, backoff RNG,
 /// and counters.
-fn daemon_to_json(d: &DaemonState) -> Json {
-    obj(vec![
-        ("enabled", Json::Bool(d.enabled)),
-        ("config", daemon_config_to_json(&d.config)),
-        ("compact_node", Json::num(d.compact_node)),
-        ("compact_cursor", Json::num(d.compact_cursor)),
-        ("promote_pid", Json::num(d.promote_pid)),
-        ("promote_va", Json::num(d.promote_va)),
-        ("candidate_cursor", Json::num(d.candidate_cursor)),
-        ("repair_cursor", Json::num(d.repair_cursor)),
-        ("budget_left", Json::num(d.budget_left)),
-        ("phase", Json::num(d.phase.as_u64())),
-        (
-            "candidates",
-            Json::Arr(d.candidates.iter().map(|&(pid, va)| pair(pid, va)).collect()),
-        ),
-        ("backoff_rng", Json::num(d.backoff_rng)),
-        ("backoff_until_ns", Json::num(d.backoff_until_ns)),
-        ("yield_streak", Json::num(d.yield_streak)),
-        ("epoch", Json::num(d.epoch)),
-        ("stats", daemon_stats_to_json(&d.stats)),
-    ])
+fn write_daemon<S: Sink>(w: &mut Writer<S>, d: &DaemonState) {
+    w.obj(|w| {
+        w.key("enabled").bool(d.enabled);
+        write_daemon_config(w.key("config"), &d.config);
+        w.key("compact_node").num(d.compact_node);
+        w.key("compact_cursor").num(d.compact_cursor);
+        w.key("promote_pid").num(d.promote_pid);
+        w.key("promote_va").num(d.promote_va);
+        w.key("candidate_cursor").num(d.candidate_cursor);
+        w.key("repair_cursor").num(d.repair_cursor);
+        w.key("budget_left").num(d.budget_left);
+        w.key("phase").num(d.phase.as_u64());
+        w.key("candidates").arr(|w| d.candidates.iter().for_each(|&(pid, va)| w.pair(pid, va)));
+        w.key("backoff_rng").num(d.backoff_rng);
+        w.key("backoff_until_ns").num(d.backoff_until_ns);
+        w.key("yield_streak").num(d.yield_streak);
+        w.key("epoch").num(d.epoch);
+        write_daemon_stats(w.key("stats"), &d.stats);
+    });
 }
 
 fn daemon_from_json(v: &Json) -> DecodeResult<DaemonState> {
@@ -897,8 +792,8 @@ fn daemon_from_json(v: &Json) -> DecodeResult<DaemonState> {
 /// Field order of the [`RecoveryStats`] counter array encoding.
 const RECOVERY_STAT_FIELDS: usize = 15;
 
-fn recovery_stats_to_json(s: &RecoveryStats) -> Json {
-    let counters = [
+fn write_recovery_stats<S: Sink>(w: &mut Writer<S>, s: &RecoveryStats) {
+    w.nums([
         s.oom_events,
         s.reclaim_passes,
         s.reclaimed_pages,
@@ -914,8 +809,7 @@ fn recovery_stats_to_json(s: &RecoveryStats) -> Json {
         s.backoff_ns,
         s.reclaim_ns,
         s.compaction_ns,
-    ];
-    Json::Arr(counters.iter().map(|&c| Json::num(c)).collect())
+    ]);
 }
 
 fn recovery_stats_from_json(v: &Json) -> DecodeResult<RecoveryStats> {
@@ -943,34 +837,37 @@ fn recovery_stats_from_json(v: &Json) -> DecodeResult<RecoveryStats> {
     })
 }
 
-/// Encodes a [`SystemSnapshot`] as a canonical [`Json`] value.
-pub fn system_to_json(s: &SystemSnapshot) -> Json {
-    obj(vec![
-        ("machine", machine_to_json(&s.machine)),
-        ("processes", Json::Arr(s.processes.iter().map(process_to_json).collect())),
-        ("page_cache", page_cache_to_json(&s.page_cache)),
-        ("next_pid", Json::num(s.next_pid)),
-        ("thp", Json::Bool(s.thp)),
-        ("pt_levels", Json::num(s.pt_levels)),
-        ("record_latencies", Json::Bool(s.record_latencies)),
-        (
-            "latency",
-            obj(vec![
-                ("base_ns", Json::num(s.latency.base_ns)),
-                ("zero_page_ns", Json::num(s.latency.zero_page_ns)),
-                ("placement_ns", Json::num(s.latency.placement_ns)),
-            ]),
-        ),
-        ("shared", Json::Arr(s.shared.iter().map(|&(pfn, count)| pair(pfn, count)).collect())),
-        ("now_ns", Json::num(s.now_ns)),
-        ("recovery", recovery_config_to_json(&s.recovery)),
-        ("recovery_stats", recovery_stats_to_json(&s.recovery_stats)),
-        ("backoff_rng", Json::num(s.backoff_rng)),
-        ("poison_policy", poison_policy_to_json(&s.poison_policy)),
-        ("poison_stats", poison_stats_to_json(&s.poison_stats)),
-        ("numa_stats", numa_stats_to_json(&s.numa_stats)),
-        ("daemon", daemon_to_json(&s.daemon)),
-    ])
+/// Writes the canonical encoding of a [`SystemSnapshot`] through `w`.
+pub(crate) fn write_system<S: Sink>(w: &mut Writer<S>, s: &SystemSnapshot) {
+    w.obj(|w| {
+        write_machine(w.key("machine"), &s.machine);
+        w.key("processes").arr(|w| s.processes.iter().for_each(|p| write_process(w, p)));
+        write_page_cache(w.key("page_cache"), &s.page_cache);
+        w.key("next_pid").num(s.next_pid);
+        w.key("thp").bool(s.thp);
+        w.key("pt_levels").num(s.pt_levels);
+        w.key("record_latencies").bool(s.record_latencies);
+        w.key("latency").obj(|w| {
+            w.key("base_ns").num(s.latency.base_ns);
+            w.key("zero_page_ns").num(s.latency.zero_page_ns);
+            w.key("placement_ns").num(s.latency.placement_ns);
+        });
+        w.key("shared").arr(|w| s.shared.iter().for_each(|&(pfn, count)| w.pair(pfn, count)));
+        w.key("now_ns").num(s.now_ns);
+        write_recovery_config(w.key("recovery"), &s.recovery);
+        write_recovery_stats(w.key("recovery_stats"), &s.recovery_stats);
+        w.key("backoff_rng").num(s.backoff_rng);
+        write_poison_policy(w.key("poison_policy"), &s.poison_policy);
+        write_poison_stats(w.key("poison_stats"), &s.poison_stats);
+        write_numa_stats(w.key("numa_stats"), &s.numa_stats);
+        write_daemon(w.key("daemon"), &s.daemon);
+    });
+}
+
+/// The canonical single-line encoding of a [`SystemSnapshot`] — the bytes
+/// [`crate::digest_system`] hashes and [`system_from_json`] decodes.
+pub fn system_to_line(s: &SystemSnapshot) -> String {
+    to_line(|w| write_system(w, s))
 }
 
 /// Decodes a [`SystemSnapshot`] from its [`Json`] encoding.
@@ -1030,30 +927,31 @@ pub fn system_from_json(v: &Json) -> DecodeResult<SystemSnapshot> {
     })
 }
 
-/// Encodes a [`VmSnapshot`] (both translation dimensions) as canonical JSON.
-pub fn vm_to_json(s: &VmSnapshot) -> Json {
-    obj(vec![
-        ("guest", system_to_json(&s.guest)),
-        ("host", system_to_json(&s.host)),
-        ("host_pid", Json::num(s.host_pid)),
-        ("host_vma_start", Json::num(s.host_vma_start)),
-        ("host_vma_base", Json::num(s.host_vma_base)),
-        ("balloon", Json::Arr(s.balloon.iter().map(|&g| Json::num(g)).collect())),
-        (
-            "sharing",
-            Json::Arr(
-                s.sharing
-                    .iter()
-                    .map(|(pfn, gframes)| {
-                        Json::Arr(vec![
-                            Json::num(*pfn),
-                            Json::Arr(gframes.iter().map(|&g| Json::num(g)).collect()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Writes the canonical encoding of a [`VmSnapshot`] (both translation
+/// dimensions) through `w`.
+pub(crate) fn write_vm<S: Sink>(w: &mut Writer<S>, s: &VmSnapshot) {
+    w.obj(|w| {
+        write_system(w.key("guest"), &s.guest);
+        write_system(w.key("host"), &s.host);
+        w.key("host_pid").num(s.host_pid);
+        w.key("host_vma_start").num(s.host_vma_start);
+        w.key("host_vma_base").num(s.host_vma_base);
+        w.key("balloon").nums(s.balloon.iter().copied());
+        w.key("sharing").arr(|w| {
+            for (pfn, gframes) in &s.sharing {
+                w.arr(|w| {
+                    w.num(*pfn);
+                    w.nums(gframes.iter().copied());
+                });
+            }
+        });
+    });
+}
+
+/// The canonical single-line encoding of a [`VmSnapshot`]: the payload line
+/// of [`encode_vm_file`], decoded by [`vm_from_json`].
+pub fn vm_to_line(s: &VmSnapshot) -> String {
+    to_line(|w| write_vm(w, s))
 }
 
 /// Decodes a [`VmSnapshot`] from its [`Json`] encoding.
@@ -1105,107 +1003,87 @@ pub fn vm_from_json(v: &Json) -> DecodeResult<VmSnapshot> {
 // contig-fleet: multi-tenant fleet images
 // ---------------------------------------------------------------------------
 
-fn u64_arr(values: impl IntoIterator<Item = u64>) -> Json {
-    Json::Arr(values.into_iter().map(Json::num).collect())
+fn write_fleet_tenant<S: Sink>(w: &mut Writer<S>, t: &contig_fleet::TenantSnapshot) {
+    w.obj(|w| {
+        w.key("id").num(t.id);
+        write_system(w.key("guest"), &t.guest);
+        w.key("host_idx").num(t.host_idx);
+        w.key("host_pid").num(t.host_pid);
+        w.key("guest_pid").num(t.guest_pid);
+        w.key("balloon").nums(t.balloon.iter().copied());
+        w.key("tags").arr(|w| t.tags.iter().for_each(|&(p, tag)| w.pair(p, tag)));
+    });
 }
 
-fn fleet_tenant_to_json(t: &contig_fleet::TenantSnapshot) -> Json {
-    obj(vec![
-        ("id", Json::num(t.id)),
-        ("guest", system_to_json(&t.guest)),
-        ("host_idx", Json::num(t.host_idx)),
-        ("host_pid", Json::num(t.host_pid)),
-        ("guest_pid", Json::num(t.guest_pid)),
-        ("balloon", u64_arr(t.balloon.iter().copied())),
-        ("tags", Json::Arr(t.tags.iter().map(|&(p, tag)| pair(p, tag)).collect())),
-    ])
-}
-
-/// Encodes a [`contig_fleet::FleetSnapshot`] as canonical JSON. The fleet
-/// digest hashes this encoding, so crash-replayed fleets can be compared
-/// byte-for-byte against the live fleet; there is no decoder — a repro file
-/// carries ops, not state.
-pub fn fleet_to_json(s: &contig_fleet::FleetSnapshot) -> Json {
+/// Writes the canonical encoding of a [`contig_fleet::FleetSnapshot`]
+/// through `w`. The fleet digest hashes this encoding, so crash-replayed
+/// fleets can be compared byte-for-byte against the live fleet; there is no
+/// decoder — a repro file carries ops, not state.
+pub(crate) fn write_fleet<S: Sink>(w: &mut Writer<S>, s: &contig_fleet::FleetSnapshot) {
     let cfg = &s.config;
-    obj(vec![
-        (
-            "config",
-            obj(vec![
-                ("hosts", Json::num(cfg.hosts as u64)),
-                ("host_mib", Json::num(cfg.host_mib)),
-                ("guest_mib", Json::num(cfg.guest_mib)),
-                ("overcommit_ppm", Json::num(cfg.overcommit_ppm)),
-                ("low_watermark_ppm", Json::num(cfg.low_watermark_ppm)),
-                ("high_watermark_ppm", Json::num(cfg.high_watermark_ppm)),
-                ("balloon_step", Json::num(cfg.balloon_step)),
-                ("balloon_retries", Json::num(cfg.balloon_retries)),
-                ("backing_attempts", Json::num(cfg.backing_attempts)),
-                ("evac_storm_ppm", Json::num(cfg.evac_storm_ppm)),
-                ("evac_attempts", Json::num(cfg.evac_attempts)),
-                ("seed", Json::num(cfg.seed)),
-                ("host_nodes", Json::num(cfg.host_nodes as u64)),
-            ]),
-        ),
-        ("hosts", Json::Arr(s.hosts.iter().map(system_to_json).collect())),
-        (
-            "sharing",
-            Json::Arr(
-                s.sharing
-                    .iter()
-                    .map(|host| {
-                        Json::Arr(
-                            host.iter()
-                                .map(|(pfn, members)| {
-                                    Json::Arr(vec![
-                                        Json::num(*pfn),
-                                        Json::Arr(
-                                            members.iter().map(|&(t, g)| pair(t, g)).collect(),
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        ("tenants", Json::Arr(s.tenants.iter().map(fleet_tenant_to_json).collect())),
-        (
-            "stats",
-            Json::Arr(
-                s.stats.as_named().iter().map(|&(_, count)| Json::num(count)).collect(),
-            ),
-        ),
-        ("next_tenant", Json::num(s.next_tenant)),
-        ("rng", Json::num(s.rng)),
-        ("ksm_cursor", Json::num(s.ksm_cursor)),
-    ])
+    w.obj(|w| {
+        w.key("config").obj(|w| {
+            w.key("hosts").num(cfg.hosts as u64);
+            w.key("host_mib").num(cfg.host_mib);
+            w.key("guest_mib").num(cfg.guest_mib);
+            w.key("overcommit_ppm").num(cfg.overcommit_ppm);
+            w.key("low_watermark_ppm").num(cfg.low_watermark_ppm);
+            w.key("high_watermark_ppm").num(cfg.high_watermark_ppm);
+            w.key("balloon_step").num(cfg.balloon_step);
+            w.key("balloon_retries").num(cfg.balloon_retries);
+            w.key("backing_attempts").num(cfg.backing_attempts);
+            w.key("evac_storm_ppm").num(cfg.evac_storm_ppm);
+            w.key("evac_attempts").num(cfg.evac_attempts);
+            w.key("seed").num(cfg.seed);
+            w.key("host_nodes").num(cfg.host_nodes as u64);
+        });
+        w.key("hosts").arr(|w| s.hosts.iter().for_each(|h| write_system(w, h)));
+        w.key("sharing").arr(|w| {
+            for host in &s.sharing {
+                w.arr(|w| {
+                    for (pfn, members) in host {
+                        w.arr(|w| {
+                            w.num(*pfn);
+                            w.arr(|w| members.iter().for_each(|&(t, g)| w.pair(t, g)));
+                        });
+                    }
+                });
+            }
+        });
+        w.key("tenants").arr(|w| s.tenants.iter().for_each(|t| write_fleet_tenant(w, t)));
+        w.key("stats").nums(s.stats.as_named().iter().map(|&(_, count)| count));
+        w.key("next_tenant").num(s.next_tenant);
+        w.key("rng").num(s.rng);
+        w.key("ksm_cursor").num(s.ksm_cursor);
+    });
+}
+
+/// The canonical single-line encoding of a [`contig_fleet::FleetSnapshot`]
+/// — the bytes [`crate::digest_fleet`] hashes.
+pub fn fleet_to_line(s: &contig_fleet::FleetSnapshot) -> String {
+    to_line(|w| write_fleet(w, s))
 }
 
 // ---------------------------------------------------------------------------
 // contig-tlb: translation caches
 // ---------------------------------------------------------------------------
 
-fn cache_to_json(c: &CacheSnapshot) -> Json {
-    obj(vec![
-        ("sets", Json::num(c.sets)),
-        ("ways", Json::num(c.ways)),
-        (
-            "slots",
-            Json::Arr(
-                c.slots
-                    .iter()
-                    .map(|slot| match slot {
-                        None => Json::Null,
-                        Some((key, tick)) => pair(*key, *tick),
-                    })
-                    .collect(),
-            ),
-        ),
-        ("tick", Json::num(c.tick)),
-        ("hits", Json::num(c.hits)),
-        ("misses", Json::num(c.misses)),
-    ])
+fn write_cache<S: Sink>(w: &mut Writer<S>, c: &CacheSnapshot) {
+    w.obj(|w| {
+        w.key("sets").num(c.sets);
+        w.key("ways").num(c.ways);
+        w.key("slots").arr(|w| {
+            for slot in &c.slots {
+                match slot {
+                    None => w.null(),
+                    Some((key, tick)) => w.pair(*key, *tick),
+                }
+            }
+        });
+        w.key("tick").num(c.tick);
+        w.key("hits").num(c.hits);
+        w.key("misses").num(c.misses);
+    });
 }
 
 fn cache_from_json(v: &Json) -> DecodeResult<CacheSnapshot> {
@@ -1225,15 +1103,17 @@ fn cache_from_json(v: &Json) -> DecodeResult<CacheSnapshot> {
     })
 }
 
-/// Encodes a [`TlbSnapshot`] (full hierarchy with LRU state) as canonical
-/// JSON.
-pub fn tlb_to_json(s: &TlbSnapshot) -> Json {
-    obj(vec![
-        ("l1_4k", cache_to_json(&s.l1_4k)),
-        ("l1_2m", cache_to_json(&s.l1_2m)),
-        ("l2", cache_to_json(&s.l2)),
-        ("counters", Json::Arr(s.counters.iter().map(|&c| Json::num(c)).collect())),
-    ])
+/// The canonical single-line encoding of a [`TlbSnapshot`] (full hierarchy
+/// with LRU state), decoded by [`tlb_from_json`].
+pub fn tlb_to_line(s: &TlbSnapshot) -> String {
+    to_line(|w| {
+        w.obj(|w| {
+            write_cache(w.key("l1_4k"), &s.l1_4k);
+            write_cache(w.key("l1_2m"), &s.l1_2m);
+            write_cache(w.key("l2"), &s.l2);
+            w.key("counters").nums(s.counters);
+        });
+    })
 }
 
 /// Decodes a [`TlbSnapshot`] from its [`Json`] encoding.
@@ -1265,13 +1145,21 @@ pub fn tlb_from_json(v: &Json) -> DecodeResult<TlbSnapshot> {
 /// Serializes a [`VmSnapshot`] to the two-line JSONL snapshot format
 /// (versioned header with digest, then the payload).
 pub fn encode_vm_file(snap: &VmSnapshot) -> String {
-    let payload = vm_to_json(snap).to_line();
-    let header = obj(vec![
-        ("format", Json::Str(SNAPSHOT_FORMAT.into())),
-        ("version", Json::Num(SNAPSHOT_VERSION)),
-        ("digest", Json::num(fnv1a64(payload.as_bytes()))),
-    ]);
-    format!("{}\n{}\n", header.to_line(), payload)
+    // One pass fills the payload buffer and hashes it; the header, which
+    // needs the digest, is then spliced in front without a second buffer.
+    let mut w = Writer::new((Vec::new(), Fnv1a64::new()));
+    write_vm(&mut w, snap);
+    let (mut file, digest) = w.finish();
+    let header = to_line(|w| {
+        w.obj(|w| {
+            w.key("format").str(SNAPSHOT_FORMAT);
+            w.key("version").num(SNAPSHOT_VERSION);
+            w.key("digest").num(digest.finish());
+        });
+    });
+    file.push(b'\n');
+    file.splice(0..0, header.bytes().chain([b'\n']));
+    String::from_utf8(file).expect("the writer emits UTF-8")
 }
 
 /// Parses and validates a snapshot file produced by [`encode_vm_file`].
@@ -1333,7 +1221,9 @@ pub struct SnapshotGuestCodec;
 
 impl contig_virt::GuestStateCodec for SnapshotGuestCodec {
     fn encode(&self, snap: &SystemSnapshot) -> Vec<u8> {
-        system_to_json(snap).to_line().into_bytes()
+        let mut w = Writer::new(Vec::new());
+        write_system(&mut w, snap);
+        w.finish()
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<SystemSnapshot, String> {

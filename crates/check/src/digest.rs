@@ -1,38 +1,48 @@
 //! Deterministic state digests.
 //!
 //! A digest is FNV-1a-64 over the canonical single-line JSON encoding of a
-//! snapshot (see [`crate::codec`]). Because the encoder emits object members
-//! in a fixed order and integers in a fixed decimal form, equal snapshots
-//! always produce equal digests, and the digest of a restored-and-replayed
-//! system can be compared against the live system byte-for-byte — the core
-//! assertion of crash-point testing.
+//! snapshot (see [`crate::codec`]), streamed into the hash as the encoder
+//! produces it: no tree and no line buffer are built. Because the encoder
+//! emits object members in a fixed order and integers in a fixed decimal
+//! form, equal snapshots always produce equal digests, and the digest of a
+//! restored-and-replayed system can be compared against the live system
+//! byte-for-byte — the core assertion of crash-point testing.
 
 use contig_fleet::FleetSnapshot;
 use contig_mm::SystemSnapshot;
+use contig_types::Fnv1a64;
 use contig_virt::VmSnapshot;
 
-use crate::codec::{fleet_to_json, system_to_json, vm_to_json};
+use crate::codec::{write_fleet, write_system, write_vm};
+use crate::json::Writer;
 
 // The canonical FNV-1a-64 implementation lives in `contig-types` (it also
 // checksums migration transport frames in `contig-virt`); re-exported here so
 // existing `contig_check::fnv1a64` callers keep working.
 pub use contig_types::fnv1a64;
 
+/// FNV-1a-64 of the bytes `body` writes, hashed as they are produced.
+fn streamed(body: impl FnOnce(&mut Writer<Fnv1a64>)) -> u64 {
+    let mut w = Writer::new(Fnv1a64::new());
+    body(&mut w);
+    w.finish().finish()
+}
+
 /// Digest of one [`System`](contig_mm::System) image.
 pub fn digest_system(snap: &SystemSnapshot) -> u64 {
-    fnv1a64(system_to_json(snap).to_line().as_bytes())
+    streamed(|w| write_system(w, snap))
 }
 
 /// Digest of a whole two-dimensional [`VirtualMachine`](contig_virt::VirtualMachine) image.
 pub fn digest_vm(snap: &VmSnapshot) -> u64 {
-    fnv1a64(vm_to_json(snap).to_line().as_bytes())
+    streamed(|w| write_vm(w, snap))
 }
 
 /// Digest of a whole multi-tenant [`Fleet`](contig_fleet::Fleet) image —
 /// every host system, every tenant guest, the sharing registries, balloons,
 /// content tags, stats, and RNG state.
 pub fn digest_fleet(snap: &FleetSnapshot) -> u64 {
-    fnv1a64(fleet_to_json(snap).to_line().as_bytes())
+    streamed(|w| write_fleet(w, snap))
 }
 
 /// Folds per-shard digests into one, hashing each digest's 8 little-endian
@@ -63,6 +73,26 @@ mod tests {
     #[test]
     fn digest_is_sensitive_to_single_bit() {
         assert_ne!(fnv1a64(b"state-a"), fnv1a64(b"state-b"));
+    }
+
+    #[test]
+    fn fleet_digest_hashes_exactly_the_fleet_line() {
+        use contig_fleet::{Fleet, FleetConfig};
+
+        let mut fleet = Fleet::new(FleetConfig::new(2, 32, 8));
+        for t in 0..4 {
+            let id = fleet.admit().unwrap();
+            for page in 0..6 {
+                // Shared tags give KSM something to merge.
+                fleet.tenant_write(id, page, page % 3 + t % 2).unwrap();
+            }
+        }
+        fleet.ksm_scan_host(0);
+        fleet.step();
+        let snap = fleet.snapshot();
+        let line = crate::fleet_to_line(&snap);
+        assert_eq!(digest_fleet(&snap), fnv1a64(line.as_bytes()));
+        assert!(crate::json::parse(&line).is_ok(), "the fleet line is valid JSON");
     }
 
     #[test]

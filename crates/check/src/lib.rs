@@ -38,8 +38,8 @@ pub mod replay;
 pub mod torture;
 
 pub use codec::{
-    decode_vm_file, encode_vm_file, fleet_to_json, read_vm_file, system_from_json, system_to_json,
-    tlb_from_json, tlb_to_json, vm_from_json, vm_to_json, write_vm_file, SnapshotGuestCodec,
+    decode_vm_file, encode_vm_file, fleet_to_line, read_vm_file, system_from_json, system_to_line,
+    tlb_from_json, tlb_to_line, vm_from_json, vm_to_line, write_vm_file, SnapshotGuestCodec,
     SNAPSHOT_FORMAT, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,
 };
 pub use digest::{digest_fleet, digest_system, digest_vm, fnv1a64, fold_digests};
@@ -104,6 +104,23 @@ mod tests {
         let report = contig_audit::audit_vm(&recovered);
         assert!(report.is_clean(), "{report}");
         assert_eq!(digest_vm(&recovered.snapshot()), digest_vm(&snap));
+    }
+
+    #[test]
+    fn tlb_snapshot_survives_its_line_encoding() {
+        use contig_tlb::{TlbConfig, TlbHierarchy};
+        use contig_types::PageSize;
+
+        let mut tlb = TlbHierarchy::new(TlbConfig::default());
+        for i in 0..200u64 {
+            let va = VirtAddr::new(0x4000_0000 + i * 0x3000);
+            if tlb.lookup(va) == contig_tlb::TlbHit::Miss {
+                tlb.fill(va, if i % 7 == 0 { PageSize::Huge2M } else { PageSize::Base4K });
+            }
+        }
+        let snap = tlb.snapshot();
+        let line = tlb_to_line(&snap);
+        assert_eq!(tlb_from_json(&json::parse(&line).unwrap()).unwrap(), snap);
     }
 
     #[test]

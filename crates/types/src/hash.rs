@@ -25,12 +25,52 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
 /// ```
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
+    let mut h = Fnv1a64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming FNV-1a-64: feeding a byte string in any number of pieces gives
+/// the same hash as [`fnv1a64`] over their concatenation, so a serializer
+/// can hash its output without buffering it.
+///
+/// # Examples
+///
+/// ```
+/// use contig_types::{fnv1a64, Fnv1a64};
+///
+/// let mut h = Fnv1a64::new();
+/// h.write(b"foo");
+/// h.write(b"bar");
+/// assert_eq!(h.finish(), fnv1a64(b"foobar"));
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// A hasher that has consumed no bytes.
+    pub const fn new() -> Self {
+        Self(FNV_OFFSET)
     }
-    hash
+
+    /// Feeds `bytes` into the hash.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The hash of every byte fed so far.
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,11 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use contig::check::{decode_vm_file, digest_vm, encode_vm_file};
+use contig::check::json::parse;
+use contig::check::{
+    decode_vm_file, digest_system, digest_vm, encode_vm_file, fnv1a64, vm_to_line, Json,
+    SnapshotGuestCodec,
+};
 use contig::prelude::*;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -195,6 +199,35 @@ fn check_golden(name: &str) {
     assert_eq!(digest_vm(&vm.snapshot()), digest, "restore must be digest-exact");
     let audit = audit_vm(&vm);
     assert!(audit.is_clean(), "restored golden system must audit clean:\n{audit}");
+}
+
+/// The streamed digests hash exactly the bytes the line encoders write:
+/// `digest_vm` is the snapshot file's header digest and FNV-1a of its
+/// payload line, and `digest_system` is FNV-1a of the migration codec's
+/// state chunk for either dimension.
+fn assert_streamed_digests_match_encodings(snap: &contig_virt::VmSnapshot) {
+    let file = encode_vm_file(snap);
+    let mut lines = file.lines();
+    let header = parse(lines.next().expect("header line")).expect("header parses");
+    let payload = lines.next().expect("payload line");
+    let digest = digest_vm(snap);
+    assert_eq!(header.get("digest").and_then(Json::as_u64), Some(digest));
+    assert_eq!(fnv1a64(payload.as_bytes()), digest);
+    assert_eq!(payload, vm_to_line(snap));
+    for sys in [&snap.guest, &snap.host] {
+        assert_eq!(digest_system(sys), fnv1a64(&SnapshotGuestCodec.encode(sys)));
+    }
+}
+
+#[test]
+fn streamed_digests_match_the_encoded_bytes_of_every_golden() {
+    for version in 1..=6 {
+        let name = format!("snapshot_v{version}.jsonl");
+        let text = std::fs::read_to_string(golden_path(&name))
+            .unwrap_or_else(|e| panic!("tests/golden/{name} must be checked in: {e}"));
+        assert_streamed_digests_match_encodings(&decode_vm_file(&text).expect("golden decodes"));
+    }
+    assert_streamed_digests_match_encodings(&golden_vm_v6().snapshot());
 }
 
 #[test]
